@@ -307,31 +307,19 @@ func reportQueueSpread(b *testing.B, srv *dido.Server, name string, requested in
 	b.Logf("%s queue spread: %d queues, frames min=%d max=%d", name, len(qs), qmin, qmax)
 }
 
-// benchmarkServeSkew measures the pipelined path at saturation under a
-// configurable key-popularity distribution, A/B-ing the PR's two skew
-// responses: chunk-granular work stealing (-steal) and the hot-key fast path
-// (-hot-keys). skew is the Zipf exponent (0 = uniform, 0.99 = YCSB/paper
-// default). stealMode selects how stealing is engaged:
-//
-//	"off"    fixed assignment — the baseline.
-//	"on"     forced: a static WorkStealing config plus LiveOptions.Steal,
-//	         so every saturated batch runs its stealable phases chunked.
-//	"adapt"  the real deployment shape: -adapt -steal, where the cost
-//	         model's Eq-3/Eq-4 comparison decides per plan whether a
-//	         WorkStealing config is worth installing. On flat workloads it
-//	         should gate stealing off (StealBatches stays ~0).
+// benchmarkServeSkew measures the pipelined path at saturation on a static
+// single-stage config under a configurable key-popularity distribution. skew
+// is the Zipf exponent (0 = uniform, 0.99 = YCSB/paper default).
 //
 // Alongside kqops it reports tmax_p99_us — the p99 wall time of the slowest
-// stage, the live analog of the paper's T_max bottleneck term that stealing
-// exists to shrink — and logs the steal/hot counters so the A/B's mechanism
-// (not just its end-to-end effect) is visible in bench_results.txt.
-func benchmarkServeSkew(b *testing.B, skew float64, stealMode string, hotKeys int) {
+// stage, the live analog of the paper's T_max bottleneck term.
+func benchmarkServeSkew(b *testing.B, skew float64) {
 	const (
 		keys       = 64 << 10
 		frameQs    = 64
 		valueBytes = 64
 	)
-	st := dido.NewStore(dido.StoreConfig{MemoryBytes: 64 << 20, HotKeys: hotKeys})
+	st := dido.NewStore(dido.StoreConfig{MemoryBytes: 64 << 20})
 	val := make([]byte, valueBytes)
 	keyName := make([][]byte, keys)
 	for i := 0; i < keys; i++ {
@@ -340,21 +328,14 @@ func benchmarkServeSkew(b *testing.B, skew float64, stealMode string, hotKeys in
 			b.Fatal(err)
 		}
 	}
-	po := &dido.PipelineOptions{BatchInterval: 100 * time.Microsecond}
-	switch stealMode {
-	case "off", "on":
-		po.Steal = stealMode == "on"
-		po.Provider = &pipeline.StaticProvider{
-			Config:   pipeline.Config{GPUDepth: 0, WorkStealing: stealMode == "on"},
+	po := &dido.PipelineOptions{
+		BatchInterval: 100 * time.Microsecond,
+		Provider: &pipeline.StaticProvider{
+			Config:   pipeline.Config{GPUDepth: 0},
 			Interval: 100 * time.Microsecond,
 			MinBatch: pipeline.DefaultLiveMinBatch,
 			MaxBatch: pipeline.DefaultLiveMaxBatch,
-		}
-	case "adapt":
-		po.Adapt = true
-		po.Steal = true
-	default:
-		b.Fatalf("unknown stealMode %q", stealMode)
+		},
 	}
 	srv := dido.NewServerOpts(st, dido.ServerOptions{Pipeline: po})
 	errc := make(chan error, 1)
@@ -417,37 +398,17 @@ func benchmarkServeSkew(b *testing.B, skew float64, stealMode string, hotKeys in
 		b.ReportMetric(tmax, "tmax_p99_us")
 	}
 	if ps, ok := srv.PipelineStats(); ok && ps.Batches > 0 {
-		b.Logf("pipeline config: %v  batches=%d q/batch=%.0f steal[batches=%d chunks=%d queries=%d]",
-			ps.Config, ps.Batches, float64(ps.Queries)/float64(ps.Batches),
-			ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
-	}
-	if ss := st.Stats(); hotKeys > 0 {
-		b.Logf("hot-key fast path: hot=%d of gets=%d (%.1f%%)",
-			ss.HotHits, ss.Gets, 100*float64(ss.HotHits)/float64(ss.Gets))
+		b.Logf("pipeline config: %v  batches=%d q/batch=%.0f",
+			ps.Config, ps.Batches, float64(ps.Queries)/float64(ps.Batches))
 	}
 	if n := failed.Load(); n > 0 {
 		b.Logf("%d of %d frames failed their retry budget (busy/timeout)", n, b.N)
 	}
 }
 
-// The Zipf A/B quartet behind ISSUE 7's acceptance row: skewed saturation
-// with stealing off/on and the hot-key table off/on, plus the uniform
-// control where -adapt -steal should keep stealing gated off. On a 1-CPU
-// host all stage groups share one core, so the steal deltas here measure
-// protocol overhead more than parallel speedup — bench_results.txt records
-// both runs and the caveat.
-func BenchmarkServeZipfPinned(b *testing.B) { benchmarkServeSkew(b, 0.99, "off", 0) }
-func BenchmarkServeZipfSteal(b *testing.B)  { benchmarkServeSkew(b, 0.99, "on", 0) }
-func BenchmarkServeZipfHotKeys(b *testing.B) {
-	benchmarkServeSkew(b, 0.99, "off", 1024)
-}
-func BenchmarkServeZipfStealHotKeys(b *testing.B) {
-	benchmarkServeSkew(b, 0.99, "on", 1024)
-}
-func BenchmarkServeUniformPinned(b *testing.B) { benchmarkServeSkew(b, 0, "off", 0) }
-func BenchmarkServeUniformAdaptSteal(b *testing.B) {
-	benchmarkServeSkew(b, 0, "adapt", 0)
-}
+// Skewed vs uniform saturation on the same static pipeline.
+func BenchmarkServeZipfPinned(b *testing.B)    { benchmarkServeSkew(b, 0.99) }
+func BenchmarkServeUniformPinned(b *testing.B) { benchmarkServeSkew(b, 0) }
 
 func BenchmarkServePerFrame(b *testing.B)  { benchmarkServe(b, serveBenchConfig{}) }
 func BenchmarkServePipelined(b *testing.B) { benchmarkServe(b, serveBenchConfig{pipelined: true}) }

@@ -81,8 +81,6 @@ func main() {
 	batchInterval := flag.Duration("batch-interval", 500*time.Microsecond, "pipeline: max wait before a partial batch executes")
 	adapt := flag.Bool("adapt", false, "pipeline: online reconfiguration from measured per-batch profiles")
 	wideMin := flag.Int("wide-min", 0, "pipeline: min GETs per batch for the wide batched index path (0 = default, negative = disable)")
-	steal := flag.Bool("steal", false, "pipeline: chunk-granular work stealing across stage groups (with -adapt the cost model gates it per plan)")
-	hotKeys := flag.Int("hot-keys", 0, "hot-key fast-path slots: sampled hot GETs served before the index probe (0 disables)")
 	ordered := flag.Bool("ordered", true, "maintain the MVCC ordered index beside the cuckoo table (enables SCAN; costs one tree upsert per write)")
 
 	adminAddr := flag.String("admin", "", "HTTP observability address, e.g. :9090 (/metrics, /config, /trace, /slowlog, /debug/pprof; empty disables)")
@@ -113,7 +111,7 @@ func main() {
 	faultConnShort := flag.Float64("fault-conn-short", 0, "inject: stream short-read (torn command) rate [0,1]")
 	flag.Parse()
 
-	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, HotKeys: *hotKeys, Ordered: *ordered})
+	st := dido.NewStore(dido.StoreConfig{MemoryBytes: *mem, Shards: *shards, Ordered: *ordered})
 	opts := dido.ServerOptions{
 		MaxInFlight:      *maxInflight,
 		ReplyCacheSize:   *replyCache,
@@ -179,7 +177,7 @@ func main() {
 		if *adminAddr != "" && *adapt {
 			trace = obs.NewTraceRing(0)
 		}
-		opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, WideMinGets: *wideMin, Steal: *steal, Trace: trace}
+		opts.Pipeline = &dido.PipelineOptions{BatchInterval: *batchInterval, Adapt: *adapt, WideMinGets: *wideMin, Trace: trace}
 	case "off":
 	default:
 		log.Fatalf("-pipeline must be on or off, got %q", *pipelineMode)
@@ -296,9 +294,6 @@ func main() {
 				// ServerStats.String the /metrics parity tests pin.
 				line := fmt.Sprintf("%s live=%d hits=%d misses=%d evictions=%d load=%.2f",
 					ss, s.LiveObjects, s.Hits, s.Misses, s.Evictions, s.IndexLoadFactor)
-				if *hotKeys > 0 {
-					line += fmt.Sprintf(" hot=%d", s.HotHits)
-				}
 				injectorMu.Lock()
 				var fs faults.Stats
 				for _, inj := range injectors {
@@ -323,10 +318,6 @@ func main() {
 				if ps, ok := srv.PipelineStats(); ok {
 					line += fmt.Sprintf(" | pipe batches=%d wide=%d target=%d reconfigs=%d shed=%d panics=%d",
 						ps.Batches, ps.WideBatches, ps.Target, ps.Reconfigs, ps.SubmitShed, ps.Panics)
-					if *steal {
-						line += fmt.Sprintf(" steal[batches=%d chunks=%d queries=%d]",
-							ps.StealBatches, ps.StolenChunks, ps.StolenQueries)
-					}
 					if replans, ok := srv.PipelineReplans(); ok {
 						line += fmt.Sprintf(" replans=%d", replans)
 					}

@@ -13,9 +13,8 @@ import "repro/internal/task"
 
 // DefaultReaderBenefitThreshold is the minimum predicted throughput gain
 // (fractional) an additional ingestion reader must buy before it is opened
-// — the same 5% bar maybeSteal applies before adopting a work-stealing
-// variant, for the same reason: model error around a flat optimum should
-// not flap a structural decision.
+// — model error around a flat optimum should not flap a structural
+// decision.
 const DefaultReaderBenefitThreshold = 0.05
 
 // DefaultIngestProfile is the workload shape SizeReaders prices before any

@@ -185,10 +185,10 @@ func (a *Admin) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeJSON(w, struct {
-		Seen           uint64          `json:"over_threshold_total"`
-		Recorded       uint64          `json:"recorded_total"`
-		ThresholdUS    float64         `json:"threshold_micros"`
-		Entries        []slowEntryView `json:"entries"`
+		Seen        uint64          `json:"over_threshold_total"`
+		Recorded    uint64          `json:"recorded_total"`
+		ThresholdUS float64         `json:"threshold_micros"`
+		Entries     []slowEntryView `json:"entries"`
 	}{
 		a.opts.SlowLog.Seen(),
 		a.opts.SlowLog.Recorded(),

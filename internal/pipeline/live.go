@@ -62,14 +62,6 @@ type LiveStoreMetrics interface {
 	LiveMetrics() (liveObjects, evictions uint64, avgInsertBuckets float64)
 }
 
-// HotKeyStats is an optional LiveStore extension: stores with a hot-key fast
-// path report its cumulative hit count so the profile can expose the measured
-// HotHitPortion (the fraction of GETs skipping the index probe) to the
-// planner — that is how -adapt sees the fast path's reduced search cost.
-type HotKeyStats interface {
-	HotStats() (hits uint64, enabled bool)
-}
-
 // BatchReadStore is an optional LiveStore extension: the wide, shard-grouped
 // batched index path (the codebase's GPU-analog executor). When the store
 // implements it and a batch carries at least WideMinGets GETs, the IN stage
@@ -157,13 +149,6 @@ type LiveOptions struct {
 	// 0 means DefaultWideMinGets; negative disables the wide path entirely.
 	// Ignored when the store does not implement BatchReadStore.
 	WideMinGets int
-	// Steal enables chunk-granular work stealing across the stage groups
-	// (livesteal.go): batches whose sealed Config has WorkStealing set run
-	// their stealable stage phases as fixed-size chunks behind an atomic
-	// claim index, and workers with no work of their own pull chunks from
-	// the bottleneck stage. Off, WorkStealing configs execute exactly like
-	// fixed assignment (the flag is advisory to the planner only).
-	Steal bool
 	// OnBatchDone, when set, observes every completed batch after its frames
 	// were delivered. The *Batch is recycled after the callback returns;
 	// copy what outlives it.
@@ -223,21 +208,6 @@ type liveBatch struct {
 	glo, ghi []int32
 	vlo, vhi []int32
 
-	// Chunked (work-stealing) execution state — see livesteal.go. chunkF
-	// holds frame-index chunk boundaries shared by every frame-geometry
-	// phase of the batch (built once); wchunkF/wchunkJ hold the frame- and
-	// gather-index boundaries of the wide read phase's chunks. chunkVals is
-	// one value arena per chunk so concurrent chunk executors never contend
-	// on an append; statsMu serializes merging their accounting.
-	chunkF        []int32
-	wchunkF       []int32
-	wchunkJ       []int32
-	chunkVals     [][]byte
-	statsMu       sync.Mutex
-	stolenChunks  int
-	stolenQueries int
-	chunkedPhases int
-
 	// lastStage is the last stage the sealed config maps work onto; the
 	// batch completes there instead of traversing empty stages (stamped by
 	// sealLocked).
@@ -277,12 +247,6 @@ func (b *liveBatch) reset() {
 	b.getQ = b.getQ[:0]
 	b.glo, b.ghi = b.glo[:0], b.ghi[:0]
 	b.vlo, b.vhi = b.vlo[:0], b.vhi[:0]
-	b.chunkF = b.chunkF[:0]
-	b.wchunkF, b.wchunkJ = b.wchunkF[:0], b.wchunkJ[:0]
-	for i := range b.chunkVals {
-		b.chunkVals[i] = b.chunkVals[i][:0]
-	}
-	b.stolenChunks, b.stolenQueries, b.chunkedPhases = 0, 0, 0
 	b.firstAt, b.sealedAt = time.Time{}, time.Time{}
 	b.taskNanos = [task.NumTasks]int64{}
 	b.taskUnits = [task.NumTasks]int64{}
@@ -365,7 +329,6 @@ type LiveRunner struct {
 	cachedPop        uint64
 	cachedEvicRate   float64
 	cachedAvgIns     float64
-	lastHotHits      uint64 // cumulative HotKeyStats hits at the last batch
 
 	ch        [3]chan *liveBatch
 	stageWG   [3]sync.WaitGroup
@@ -383,11 +346,6 @@ type LiveRunner struct {
 	// seal now instead of waiting out the flush interval.
 	stage1Inflight atomic.Int32
 
-	// stealBoard publishes the currently chunk-shared stage run (livesteal.go);
-	// stealWake nudges channel-blocked workers to come help it.
-	stealBoard atomic.Pointer[stealRun]
-	stealWake  chan struct{}
-
 	// testStage1Dequeued, when set by a test, runs on the stage-1 worker
 	// immediately after a batch is received from ch[0] — the exact point the
 	// historical idle-detection race lived at (the busy flag was incremented
@@ -397,15 +355,12 @@ type LiveRunner struct {
 
 	pool sync.Pool // *liveBatch
 
-	batches      stats.Counter
-	queries      stats.Counter
-	panics       stats.Counter
-	reconfigs    stats.Counter
-	shedFull     stats.Counter
-	wideBatches  stats.Counter
-	stealBatches stats.Counter // batches that ran ≥1 phase chunk-shared
-	stolenChunks stats.Counter // chunks executed by a non-owner worker
-	stolenQs     stats.Counter // queries inside those chunks
+	batches     stats.Counter
+	queries     stats.Counter
+	panics      stats.Counter
+	reconfigs   stats.Counter
+	shedFull    stats.Counter
+	wideBatches stats.Counter
 
 	stageHist [3]*stats.Histogram             // per-batch stage wall time, µs
 	taskHist  [task.NumTasks]*stats.Histogram // per-unit task cost, ns
@@ -443,9 +398,6 @@ func NewLiveRunner(s LiveStore, opts LiveOptions) *LiveRunner {
 		flushStop:   make(chan struct{}),
 		flushDone:   make(chan struct{}),
 		drained:     make(chan struct{}),
-		// One wake token per worker: publishing a steal run nudges every
-		// channel-blocked worker at most once (livesteal.go).
-		stealWake: make(chan struct{}, opts.Workers[0]+opts.Workers[1]+opts.Workers[2]),
 	}
 	if pc, ok := opts.Provider.(ProfileConsumer); ok {
 		r.wantProfile = pc.WantsProfile()
@@ -620,20 +572,7 @@ func (r *LiveRunner) flusher() {
 
 func (r *LiveRunner) stageWorker(si int) {
 	defer r.stageWG[si].Done()
-	for {
-		var b *liveBatch
-		select {
-		case nb, ok := <-r.ch[si]:
-			if !ok {
-				return
-			}
-			b = nb
-		case <-r.stealWake:
-			// A chunk-shared run was published while this worker sat idle:
-			// go execute chunks until it drains or own work arrives.
-			r.helpSteal(si)
-			continue
-		}
+	for b := range r.ch[si] {
 		if si == 0 && r.testStage1Dequeued != nil {
 			r.testStage1Dequeued()
 		}
@@ -659,10 +598,6 @@ func (r *LiveRunner) stageWorker(si int) {
 			r.stage1Inflight.Add(-1)
 			r.trySealIdle()
 		}
-		// Before blocking on the queue again, pull chunks from any published
-		// steal run — "workers that finish their own stage's work help the
-		// bottleneck stage" (§III-B3 brought to the live path).
-		r.helpSteal(si)
 	}
 }
 
@@ -684,15 +619,8 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 	// candidate collection would walk the index twice per GET for nothing:
 	// skip it and let ReadCandidates' authoritative path resolve each key in
 	// one pass (the fused-read counterpart of the KC+RD fusion).
-	//
-	// Each phase routes through its MaybeChunked wrapper: under a sealed
-	// WorkStealing config (and LiveOptions.Steal) the phase executes as
-	// claim-indexed chunks other workers can help with; otherwise the
-	// wrappers fall straight through to the fixed-assignment loops. WR is
-	// never chunked — it stays pinned to its (NIC-adjacent) group, the live
-	// analog of stealableOn's WR rule.
 	if cfg.StageOf(task.INSearch) == s && cfg.StageOf(task.KC) != s {
-		r.runSearchMaybeChunked(b)
+		r.runSearch(b)
 	}
 	insHere := cfg.StageOf(task.INInsert) == s
 	delHere := cfg.StageOf(task.INDelete) == s
@@ -700,20 +628,18 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 	case insHere && delHere:
 		// Both write kinds on one stage (the common case): one fused pass
 		// over the queries instead of two.
-		r.runWritesMaybeChunked(b, phaseWrites)
+		r.runWrites(b)
 	case insHere:
-		r.runWritesMaybeChunked(b, phaseSets)
+		r.runSets(b)
 	case delHere:
-		r.runWritesMaybeChunked(b, phaseDeletes)
+		r.runDeletes(b)
 	}
 	if cfg.StageOf(task.KC) == s {
-		r.runReadsMaybeChunked(b)
+		r.runReads(b)
 	}
 	// SC runs after the batch's point reads on its assigned stage (CPU-pre or
-	// GPU — never CPU-post, so lastLiveStage needs no SC case). It is never
-	// chunked: all of a batch's scans share one snapshot capture, and the
-	// N-way merge is sequential-bandwidth work with nothing for a helper to
-	// claim mid-merge.
+	// GPU — never CPU-post, so lastLiveStage needs no SC case); all of a
+	// batch's scans share one snapshot capture.
 	if cfg.StageOf(task.SC) == s {
 		r.runScans(b)
 	}
@@ -727,16 +653,7 @@ func (r *LiveRunner) runStage(b *liveBatch, s Stage) {
 // poisoned query cannot take down its batchmates — the same blast radius as
 // the per-frame path, just reached through the staged executor.
 func (r *LiveRunner) eachFrame(b *liveBatch, fn func(fi int, f *LiveFrame)) {
-	r.eachFrameRange(b, 0, len(b.frames), fn)
-}
-
-// eachFrameRange is eachFrame over frames [flo, fhi) — the chunked executors
-// use it so a chunk's panic containment matches the scalar path's exactly.
-// Chunks partition the batch on frame boundaries, so concurrent chunk
-// executors never touch the same frame's Err flag.
-func (r *LiveRunner) eachFrameRange(b *liveBatch, flo, fhi int, fn func(fi int, f *LiveFrame)) {
-	for fi := flo; fi < fhi; fi++ {
-		f := b.frames[fi]
+	for fi, f := range b.frames {
 		if f.Err {
 			continue
 		}
@@ -855,8 +772,6 @@ func (r *LiveRunner) runSearch(b *liveBatch) {
 	b.taskDone(task.INSearch, start, units)
 }
 
-// runSets performs the composite write (MM + IN.Insert + IN.Delete) for
-// every SET in the batch.
 // runWrites performs both write kinds (SET's composite MM + IN.Insert, and
 // IN.Delete) in a single pass — the fusion of runSets and runDeletes used
 // when the config maps both onto the same stage. Measured pass time is split
@@ -907,6 +822,8 @@ func (r *LiveRunner) runWrites(b *liveBatch) {
 	b.taskUnits[task.INDelete] += int64(dels)
 }
 
+// runSets performs the composite write (MM + IN.Insert + IN.Delete) for
+// every SET in the batch.
 func (r *LiveRunner) runSets(b *liveBatch) {
 	start := r.taskStart()
 	units := 0
@@ -1149,17 +1066,6 @@ func (r *LiveRunner) complete(b *liveBatch) {
 
 	r.batches.Inc()
 	r.queries.Add(uint64(b.nq))
-	if b.chunkedPhases > 0 {
-		r.stealBatches.Inc()
-		if b.stolenChunks > 0 {
-			r.stolenChunks.Add(uint64(b.stolenChunks))
-			r.stolenQs.Add(uint64(b.stolenQueries))
-			// Live helpers are CPU workers: surface the realized rebalance
-			// where the simulator's steal loop books it, so OnBatchDone
-			// consumers (and the trace ring) see the same bookkeeping.
-			b.b.Times.StolenByCPU += b.stolenQueries
-		}
-	}
 	if r.wantProfile {
 		for id := 0; id < task.NumTasks; id++ {
 			if b.taskUnits[id] > 0 {
@@ -1263,20 +1169,6 @@ func (r *LiveRunner) buildProfile(b *liveBatch) {
 	if p.AvgInsertBuckets == 0 {
 		p.AvgInsertBuckets = 2 // analytic floor before any insert was measured
 	}
-	if hk, ok := r.store.(HotKeyStats); ok {
-		if hits, enabled := hk.HotStats(); enabled {
-			// Batches overlap across stages, so the per-batch delta of the
-			// cumulative counter is approximate; the profiler smooths it.
-			delta := hits - r.lastHotHits
-			r.lastHotHits = hits
-			if b.gets > 0 {
-				p.HotHitPortion = float64(delta) / float64(b.gets)
-				if p.HotHitPortion > 1 {
-					p.HotHitPortion = 1
-				}
-			}
-		}
-	}
 	b.b.Profile = p
 }
 
@@ -1328,10 +1220,6 @@ type LiveStats struct {
 	SubmitShed uint64
 	// WideBatches counts KC+RD stage passes served by the wide batched path.
 	WideBatches uint64
-	// StealBatches counts batches that executed at least one phase as
-	// claim-indexed chunks; StolenChunks/StolenQueries count the chunks (and
-	// the queries inside them) actually executed by a non-owner worker.
-	StealBatches, StolenChunks, StolenQueries uint64
 	// Config and Target are the currently installed config and batch size.
 	Config Config
 	Target int
@@ -1343,17 +1231,14 @@ func (r *LiveRunner) Stats() LiveStats {
 	cfg, target := r.cfg, r.target
 	r.mu.Unlock()
 	return LiveStats{
-		Batches:       r.batches.Load(),
-		Queries:       r.queries.Load(),
-		Panics:        r.panics.Load(),
-		Reconfigs:     r.reconfigs.Load(),
-		SubmitShed:    r.shedFull.Load(),
-		WideBatches:   r.wideBatches.Load(),
-		StealBatches:  r.stealBatches.Load(),
-		StolenChunks:  r.stolenChunks.Load(),
-		StolenQueries: r.stolenQs.Load(),
-		Config:        cfg,
-		Target:        target,
+		Batches:     r.batches.Load(),
+		Queries:     r.queries.Load(),
+		Panics:      r.panics.Load(),
+		Reconfigs:   r.reconfigs.Load(),
+		SubmitShed:  r.shedFull.Load(),
+		WideBatches: r.wideBatches.Load(),
+		Config:      cfg,
+		Target:      target,
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -311,46 +312,203 @@ func TestLiveRunnerBatchBoundaryReconfig(t *testing.T) {
 
 // TestLiveRunnerPanicContainment proves batching does not widen the blast
 // radius of a poisoned query: the panicking frame is marked Err, its
-// batchmates are answered normally.
+// batchmates are answered normally. The wide case poisons the batched store
+// call itself: the runner reruns the batch on the scalar loop, which contains
+// the panic to the frame that carries the bad key.
 func TestLiveRunnerPanicContainment(t *testing.T) {
-	st := newFakeLiveStore()
-	st.m["good"] = []byte("ok")
-	st.panicOn = "boom"
-	st.gateKey = "hold"
-	st.gate = make(chan struct{})
-	done := make(chan *LiveFrame, 4)
-	r := NewLiveRunner(st, LiveOptions{
-		Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 2},
-		BatchInterval: time.Hour,
-		Done:          func(f *LiveFrame) { done <- f },
-	})
+	for _, tc := range []struct {
+		name string
+		wide bool
+	}{{"scalar", false}, {"wide", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := newFakeLiveStore()
+			base.m["good"] = []byte("ok")
+			base.panicOn = "boom"
+			base.gateKey = "hold"
+			base.gate = make(chan struct{})
+			var st LiveStore = base
+			wideMin := -1
+			var wst *fakeWideStore
+			if tc.wide {
+				wst = &fakeWideStore{fakeLiveStore: base}
+				st, wideMin = wst, 1
+			}
+			done := make(chan *LiveFrame, 4)
+			r := NewLiveRunner(st, LiveOptions{
+				Provider:      &fixedProvider{cfg: cpuInsertMegaKV(), n: 2},
+				BatchInterval: time.Hour,
+				WideMinGets:   wideMin,
+				Done:          func(f *LiveFrame) { done <- f },
+			})
+			defer r.Close()
+
+			// Hold stage 1 on a gated SET so the two frames below are
+			// guaranteed to accumulate into one shared batch (sealed at the
+			// size target of 2).
+			if !r.Submit(setFrame("hold", "x")) {
+				t.Fatal("Submit hold rejected")
+			}
+			time.Sleep(time.Millisecond) // let the stage-1 worker park on the gate
+			bad := getFrame("boom")
+			good := getFrame("good")
+			if !r.Submit(bad) || !r.Submit(good) {
+				t.Fatal("Submit rejected")
+			}
+			close(base.gate)
+			collectFrames(t, done, 3)
+
+			if !bad.Err {
+				t.Fatal("poisoned frame not marked Err")
+			}
+			if good.Err {
+				t.Fatal("healthy batchmate marked Err")
+			}
+			if good.Resps[0].Status != proto.StatusOK || string(good.Resps[0].Value) != "ok" {
+				t.Fatalf("batchmate GET = %+v, want OK", good.Resps[0])
+			}
+			if s := r.Stats(); s.Panics != 1 {
+				t.Fatalf("Panics = %d, want 1", s.Panics)
+			}
+			if tc.wide && wst.scalarReads.Load() == 0 {
+				t.Fatal("wide panic did not fall back to the scalar loop")
+			}
+		})
+	}
+}
+
+// runCoalesced submits frames so they coalesce into one batch: a dummy frame
+// seals first and its batch parks in the testStage1Dequeued hook, so every
+// frame submitted meanwhile accumulates behind the inflight count and seals
+// together on release. It returns once every frame has been delivered.
+func runCoalesced(t *testing.T, st LiveStore, opts LiveOptions, frames []*LiveFrame) {
+	t.Helper()
+	done := make(chan *LiveFrame, len(frames)+1)
+	opts.Done = func(f *LiveFrame) { done <- f }
+	opts.BatchInterval = time.Hour // only explicit seals
+	r := NewLiveRunner(st, opts)
 	defer r.Close()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	r.testStage1Dequeued = func() {
+		once.Do(func() {
+			entered <- struct{}{}
+			<-release
+		})
+	}
+	if !r.Submit(getFrame("warm")) {
+		t.Fatal("Submit dummy rejected")
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stage-1 worker never parked on the dummy batch")
+	}
+	for i, f := range frames {
+		if !r.Submit(f) {
+			t.Fatalf("Submit frame %d rejected", i)
+		}
+	}
+	close(release)
+	collectFrames(t, done, len(frames)+1)
+}
 
-	// Hold stage 1 on a gated SET so the two frames below are guaranteed to
-	// accumulate into one shared batch (sealed at the size target of 2).
-	if !r.Submit(setFrame("hold", "x")) {
-		t.Fatal("Submit hold rejected")
+// mixedWorkload builds a deterministic mixed workload: per-frame keys are
+// disjoint, and every read has a single correct answer under the batch's
+// writes-before-reads contract.
+func mixedWorkload(nframes, presets int) []*LiveFrame {
+	frames := make([]*LiveFrame, nframes)
+	for i := range frames {
+		f := &LiveFrame{}
+		add := func(q proto.Query) { f.Queries = append(f.Queries, q) }
+		add(proto.Query{Op: proto.OpSet, Key: []byte(fmt.Sprintf("s%03d", i)), Value: []byte(fmt.Sprintf("sv%03d", i))})
+		add(proto.Query{Op: proto.OpGet, Key: []byte(fmt.Sprintf("s%03d", i))})
+		add(proto.Query{Op: proto.OpDelete, Key: []byte(fmt.Sprintf("d%03d", i))})
+		add(proto.Query{Op: proto.OpGet, Key: []byte(fmt.Sprintf("d%03d", i))})
+		add(proto.Query{Op: proto.OpGet, Key: []byte(fmt.Sprintf("absent%03d", i))})
+		for j := 0; j < 11; j++ {
+			add(proto.Query{Op: proto.OpGet, Key: []byte(fmt.Sprintf("p%03d", (i*11+j)%presets))})
+		}
+		frames[i] = f
 	}
-	time.Sleep(time.Millisecond) // let the stage-1 worker park on the gate
-	bad := getFrame("boom")
-	good := getFrame("good")
-	if !r.Submit(bad) || !r.Submit(good) {
-		t.Fatal("Submit rejected")
-	}
-	close(st.gate)
-	collectFrames(t, done, 3)
+	return frames
+}
 
-	if !bad.Err {
-		t.Fatal("poisoned frame not marked Err")
+// mixedStore presets the keys mixedWorkload expects.
+func mixedStore(nframes, presets int) *fakeLiveStore {
+	st := newFakeLiveStore()
+	for i := 0; i < presets; i++ {
+		st.m[fmt.Sprintf("p%03d", i)] = []byte(fmt.Sprintf("pv%03d", i))
 	}
-	if good.Err {
-		t.Fatal("healthy batchmate marked Err")
+	for i := 0; i < nframes; i++ {
+		st.m[fmt.Sprintf("d%03d", i)] = []byte("doomed")
 	}
-	if good.Resps[0].Status != proto.StatusOK || string(good.Resps[0].Value) != "ok" {
-		t.Fatalf("batchmate GET = %+v, want OK", good.Resps[0])
+	return st
+}
+
+// checkMixedWorkload asserts every response of every frame against the
+// workload's single correct answer: each query slot holds exactly the
+// response its query must produce.
+func checkMixedWorkload(t *testing.T, frames []*LiveFrame, presets int) {
+	t.Helper()
+	for i, f := range frames {
+		if f.Err {
+			t.Fatalf("frame %d poisoned", i)
+		}
+		if len(f.Resps) != len(f.Queries) {
+			t.Fatalf("frame %d: %d resps for %d queries", i, len(f.Resps), len(f.Queries))
+		}
+		expect := func(qi int, status proto.Status, val string) {
+			got := f.Resps[qi]
+			if got.Status != status || (val != "" && string(got.Value) != val) {
+				t.Fatalf("frame %d query %d = %v %q, want %v %q", i, qi, got.Status, got.Value, status, val)
+			}
+		}
+		expect(0, proto.StatusOK, "")                       // SET
+		expect(1, proto.StatusOK, fmt.Sprintf("sv%03d", i)) // GET own SET
+		expect(2, proto.StatusOK, "")                       // DELETE preset
+		expect(3, proto.StatusNotFound, "")                 // GET deleted
+		expect(4, proto.StatusNotFound, "")                 // GET absent
+		for j := 0; j < 11; j++ {
+			expect(5+j, proto.StatusOK, fmt.Sprintf("pv%03d", (i*11+j)%presets))
+		}
 	}
-	if s := r.Stats(); s.Panics != 1 {
-		t.Fatalf("Panics = %d, want 1", s.Panics)
+}
+
+// TestLiveMixedWorkload: one coalesced batch of SET/GET/DELETE frames must
+// answer every query exactly once with its single correct response, across a
+// multi-stage config, the fused single-stage config, and the wide batched
+// read path.
+func TestLiveMixedWorkload(t *testing.T) {
+	const nframes, presets = 24, 40
+	cases := []struct {
+		name string
+		cfg  Config
+		wide bool
+	}{
+		{"multi-stage", MegaKV(), false},
+		{"fused-single-stage", Config{GPUDepth: 0}, false},
+		{"wide-path", MegaKV(), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var st LiveStore = mixedStore(nframes, presets)
+			wideMin := -1
+			var wst *fakeWideStore
+			if tc.wide {
+				wst = &fakeWideStore{fakeLiveStore: mixedStore(nframes, presets)}
+				st, wideMin = wst, 1
+			}
+			frames := mixedWorkload(nframes, presets)
+			runCoalesced(t, st, LiveOptions{
+				Provider:    &fixedProvider{cfg: tc.cfg, n: 1 << 20},
+				WideMinGets: wideMin,
+			}, frames)
+			checkMixedWorkload(t, frames, presets)
+			if tc.wide && wst.readBatches.Load() == 0 {
+				t.Fatal("wide read path not engaged")
+			}
+		})
 	}
 }
 

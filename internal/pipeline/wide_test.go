@@ -45,6 +45,9 @@ func (f *fakeWideStore) lookupBatch(keys [][]byte, vals []byte, vlo, vhi []int32
 	defer f.mu.Unlock()
 	hits := 0
 	for i, k := range keys {
+		if f.panicOn != "" && string(k) == f.panicOn {
+			panic("poisoned key")
+		}
 		v, ok := f.m[string(k)]
 		if !ok {
 			vlo[i], vhi[i] = -1, -1

@@ -137,7 +137,7 @@ type Log struct {
 	synced atomic.Uint64 // logical bytes known durable
 
 	records, bytes, syncs, syncErrs, writeErrs, shortWrites, rotations stats.Counter
-	fsyncMicros                                                       *stats.Histogram
+	fsyncMicros                                                        *stats.Histogram
 
 	stop    chan struct{}
 	flushWG sync.WaitGroup

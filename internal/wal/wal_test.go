@@ -151,10 +151,10 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 // countingFile counts writes and syncs and records the size covered by the
 // last sync, standing in for a real file.
 type countingFile struct {
-	mu       sync.Mutex
-	buf      bytes.Buffer
-	syncs    int
-	syncedAt int
+	mu        sync.Mutex
+	buf       bytes.Buffer
+	syncs     int
+	syncedAt  int
 	maxWrite  int           // when >0, writes at most this many bytes per call
 	syncDelay time.Duration // artificial fsync latency
 	// writeErrs > 0: the next writeErrs calls fail with zero progress.

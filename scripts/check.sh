@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# check.sh — the repo's CI gate: vet, build, race-enabled tests, a focused
+# check.sh — the repo's CI gate: gofmt, vet, build, race-enabled tests, a focused
 # concurrency pass over the store/slab read path, a benchmark smoke, and a
 # short protocol-parser fuzz smoke.
 #
@@ -9,6 +9,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FUZZTIME="${1:-10s}"
+
+echo "== gofmt =="
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt needed on:"
+    echo "$UNFORMATTED"
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -44,15 +52,14 @@ go test -count=1 -race -timeout 900s ./internal/obs
 go test -count=1 -race -timeout 900s -run 'AdminUnderChaos|SlowLogOn|SlowLogThreshold|StatsDumpMetrics|CollectMetricsNames|ControllerTrace' \
     . ./internal/costmodel
 
-# The live steal path + hot-key fast path: the chunk-claim equivalence suite
-# (chunked vs fixed execution must produce identical responses), the stage-1
-# idle-seal race regressions, the controller's Eq-3 steal gating, and the
-# hot-table promotion/invalidation protocol incl. its staleness hammer — all
-# lock-free machinery, so un-cached and race-enabled every pass.
-echo "== steal + hot-key path (-race, -count=1) =="
+# The stage-1 idle-seal race regressions: a worker parked between dequeue
+# and execution must not let Submit seal degenerate one-frame batches, and a
+# reverted trySealIdle must restore a never-sealed batch. Timing-window
+# tests, so un-cached and race-enabled every pass.
+echo "== idle-seal races (-race, -count=1) =="
 go test -count=1 -race -timeout 900s \
-    -run 'LiveSteal|LiveIdleSeal|LiveTrySealIdle|ControllerSteal|HotKey|WorkStealing' \
-    ./internal/pipeline ./internal/costmodel ./internal/store
+    -run 'LiveIdleSeal|LiveTrySealIdle|LiveRunnerIdleSeal' \
+    ./internal/pipeline
 
 # The wide batched index path: cross-check SearchBatch/GetBatch against the
 # scalar search under concurrent churn (the amortized version-check fallback),

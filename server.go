@@ -308,8 +308,10 @@ func (s *Server) Admit(f *frontend.Frame) bool {
 		frames, state := s.replies.begin(f.AKey, f.ReqID)
 		switch state {
 		case replyCached:
-			f.R.Deliver(f, frames)
+			// Counted before the send, so a client holding the reply
+			// always sees the replay in Stats.
 			s.replayed.Inc()
+			f.R.Deliver(f, frames)
 			f.R.Release(f)
 			return false
 		case replyInFlight:
@@ -374,18 +376,14 @@ func (s *Server) Draining() bool { return s.closed.Load() }
 
 // finishDirect answers a query-less admitted frame without touching the
 // execution paths: encode (the frame may still carry protocol-level replies,
-// e.g. RESP PING), deliver, settle dedupe state, release.
+// e.g. RESP PING), settle dedupe state, deliver, release.
 func (s *Server) finishDirect(f *frontend.Frame) {
 	units := f.R.Encode(f, nil)
-	ok := f.R.Deliver(f, units)
 	if f.Tracked {
-		if ok {
-			s.replies.finish(f.AKey, f.ReqID, units)
-		} else {
-			s.replies.abort(f.AKey, f.ReqID)
-		}
+		s.replies.finish(f.AKey, f.ReqID, units)
 		f.Tracked = false
 	}
+	f.R.Deliver(f, units)
 	<-s.tokens
 	s.wg.Done()
 	f.R.Release(f)
@@ -398,9 +396,9 @@ func (s *Server) executeFrame(f *frontend.Frame) {
 	defer func() { <-s.tokens }()
 	defer f.R.Release(f)
 	if f.Tracked {
-		// Clear the in-flight marker on every exit path (panic, failed
-		// commit, failed send); a successful delivery clears it atomically
-		// with the reply-cache fill, making this a no-op.
+		// Clear the in-flight marker when the frame dies before its reply is
+		// cached (panic, failed commit); once finish has cached the reply,
+		// this is a no-op.
 		defer s.replies.abort(f.AKey, f.ReqID)
 	}
 	sc := s.scratch.Get().(*frameScratch)
@@ -429,10 +427,14 @@ func (s *Server) executeFrame(f *frontend.Frame) {
 			return
 		}
 	}
-	ok := f.R.Deliver(f, units)
-	if f.Tracked && ok && s.replies != nil {
+	// Cache the reply before sending it. A retry that arrives once the client
+	// has the reply must find it cached, not in flight (dropped unanswered).
+	// The frame has executed either way, so the reply is cached even if the
+	// send fails: the retry then replays it instead of executing again.
+	if f.Tracked {
 		s.replies.finish(f.AKey, f.ReqID, units)
 	}
+	f.R.Deliver(f, units)
 	sc.resps = resps[:0]
 	if sl := s.opts.SlowLog; sl != nil && len(f.Queries) > 0 {
 		sl.Observe(time.Since(f.Start), len(f.Queries), uint8(f.Queries[0].Op), f.Queries[0].Key)

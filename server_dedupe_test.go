@@ -1,8 +1,10 @@
 package dido
 
 import (
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,4 +204,131 @@ func (b *panicOnceBackend) Set(key, value []byte) error {
 		panic("injected")
 	}
 	return b.inner.Set(key, value)
+}
+
+// sendHookConn wraps the server's UDP socket and intercepts its first reply
+// datagram. With fail unset the reply is sent, then the sending goroutine
+// parks until release is closed; with fail set the reply is dropped and the
+// send reports an error. sent is closed once the first reply was handled;
+// later writes pass straight through.
+type sendHookConn struct {
+	net.PacketConn
+	fail    bool
+	sent    chan struct{}
+	release chan struct{}
+	first   atomic.Bool
+}
+
+func (c *sendHookConn) WriteTo(b []byte, addr net.Addr) (int, error) {
+	if !c.first.CompareAndSwap(false, true) {
+		return c.PacketConn.WriteTo(b, addr)
+	}
+	if c.fail {
+		close(c.sent)
+		return 0, errors.New("injected send failure")
+	}
+	n, err := c.PacketConn.WriteTo(b, addr)
+	close(c.sent)
+	<-c.release
+	return n, err
+}
+
+// TestReplyCachedBeforeSend pins the reply cache's ordering against the send
+// on both serving paths. parked-send: the original reply reaches the client
+// while its sender is still parked inside the send; the client's next retry
+// must be replayed from the cache, not dropped as a duplicate of a request
+// still in flight (which left it unanswered). failed-send: the reply is lost
+// to a send error; the frame already executed, so the retry must be replayed
+// rather than executing the SET a second time.
+func TestReplyCachedBeforeSend(t *testing.T) {
+	for _, path := range []string{"per-frame", "pipelined"} {
+		for _, fail := range []bool{false, true} {
+			name := path + "/parked-send"
+			if fail {
+				name = path + "/failed-send"
+			}
+			t.Run(name, func(t *testing.T) { testReplyCachedBeforeSend(t, path == "pipelined", fail) })
+		}
+	}
+}
+
+func testReplyCachedBeforeSend(t *testing.T, pipelined, fail bool) {
+	gb := &gatedBackend{
+		inner:   NewStore(StoreConfig{MemoryBytes: 4 << 20}),
+		entered: make(chan struct{}, 8),
+		release: make(chan struct{}),
+	}
+	close(gb.release) // count executions only; never park a SET
+	hook := &sendHookConn{fail: fail, sent: make(chan struct{}), release: make(chan struct{})}
+	opts := ServerOptions{WrapConn: func(pc net.PacketConn) net.PacketConn {
+		hook.PacketConn = pc
+		return hook
+	}}
+	var srv *Server
+	if pipelined {
+		srv = pipelinedServer(gb, opts)
+	} else {
+		srv = NewServerOpts(gb, opts)
+	}
+	addr, errc := startServer(t, srv)
+	released := false
+	defer func() {
+		if !released {
+			close(hook.release)
+		}
+		srv.Close()
+	}()
+
+	raddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, proto.MaxFrameBytes)
+	readResp := func(what string) {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", what, err)
+		}
+		rs, id, _, err := proto.ParseResponseFrameID(buf[:n], nil)
+		if err != nil || id != 424242 || len(rs) != 1 || rs[0].Status != proto.StatusOK {
+			t.Fatalf("%s = %+v id %d err %v", what, rs, id, err)
+		}
+	}
+
+	frame := proto.EncodeFrameV2(nil, 424242, []Query{{Op: OpSet, Key: []byte("k"), Value: []byte("v")}})
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hook.sent:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the original reply was never sent")
+	}
+	if !fail {
+		readResp("original reply")
+	}
+	// The retry lands while the original's sender is still parked (or right
+	// after its send failed).
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	readResp("retry reply")
+	close(hook.release)
+	released = true
+
+	if n := gb.setCount(); n != 1 {
+		t.Fatalf("SET executed %d times, want 1", n)
+	}
+	if ss := srv.Stats(); ss.Replayed != 1 || ss.DupDropped != 0 {
+		t.Fatalf("replayed=%d dup-dropped=%d, want 1/0", ss.Replayed, ss.DupDropped)
+	}
+	srv.Close()
+	waitServe(t, errc)
 }

@@ -530,4 +530,6 @@ func TestRecoveryCountsDroppedApplies(t *testing.T) {
 }
 
 func keyN(i int) []byte { return []byte(fmt.Sprintf("durable-key-%04d", i)) }
-func valN(i int) []byte { return []byte(fmt.Sprintf("durable-val-%04d-%s", i, strings.Repeat("x", 32))) }
+func valN(i int) []byte {
+	return []byte(fmt.Sprintf("durable-val-%04d-%s", i, strings.Repeat("x", 32)))
+}

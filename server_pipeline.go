@@ -54,15 +54,6 @@ type PipelineOptions struct {
 	// batched path. 0 means pipeline.DefaultWideMinGets; negative disables
 	// the wide path. Only effective when the backend is a *Store.
 	WideMinGets int
-	// Steal enables chunk-granular work stealing across the pipeline's stage
-	// groups: stage phases of batches sealed with a WorkStealing config are
-	// split into fixed-size chunks behind an atomic claim index, and idle
-	// workers from other groups pull chunks from the bottleneck stage
-	// (paper §III-B3). With Adapt the controller decides per batch whether
-	// stealing's predicted Eq 3 benefit clears the gate; without Adapt the
-	// static default config keeps WorkStealing off, so the flag only takes
-	// effect combined with a Provider that turns it on.
-	Steal bool
 	// Provider overrides the config provider entirely (tests); when set,
 	// Adapt is ignored.
 	Provider pipeline.ConfigProvider
@@ -141,7 +132,6 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 			sizer := &pipeline.BatchSizer{Interval: interval, Min: pl.MinBatch, Max: maxBatch}
 			sizer.Set(pipeline.DefaultInitialBatch)
 			pipe.ctrl = costmodel.NewController(pl, profiler.New(inner), pipeline.DefaultLiveConfig(), sizer)
-			pipe.ctrl.AllowStealing = po.Steal
 			pipe.ctrl.Trace = po.Trace
 			provider = pipe.ctrl
 		} else {
@@ -159,7 +149,6 @@ func (s *Server) initPipeline(po *PipelineOptions) {
 		BatchInterval: interval,
 		Workers:       po.Workers,
 		WideMinGets:   po.WideMinGets,
-		Steal:         po.Steal,
 		DoneBatch:     s.pipelineBatchDone,
 	}
 	if s.dur != nil {
@@ -203,17 +192,19 @@ func (s *Server) submitPipelined(f *frontend.Frame) {
 }
 
 // pipelineBatchDone is the SD task for one completed batch: it encodes every
-// healthy frame's responses, delivers the batch through each responder's
-// batched path (sendmmsg for UDP, one coalesced write per connection for
-// RESP), fills the reply cache, and releases each frame's token and wg slot.
-// A poisoned frame (lf.Err) or one whose WAL commit failed gets Fail instead
-// of an ack: the datagram client's retry is re-admitted, the stream client
-// sees in-band errors (its reply ordering must not skip a frame).
+// healthy frame's responses, fills the reply cache, delivers the batch
+// through each responder's batched path (sendmmsg for UDP, one coalesced
+// write per connection for RESP), and releases each frame's token and wg
+// slot. A poisoned frame (lf.Err) or one whose WAL commit failed gets Fail
+// instead of an ack: the datagram client's retry is re-admitted, the stream
+// client sees in-band errors (its reply ordering must not skip a frame).
 //
-// Reply caching here does not depend on send success: the batched sender is
-// best-effort (UDP gives no per-datagram delivery signal), so a computed
-// reply is always cached and a retry whose response was dropped is answered
-// by replay instead of re-execution — the same at-most-once outcome as the
+// The reply cache is settled before anything is sent, so a retry that
+// arrives once the client has its reply is replayed, never dropped as a
+// duplicate of a request still in flight. Caching does not depend on send
+// success: the batched sender is best-effort (UDP gives no per-datagram
+// delivery signal), so a retry whose response was dropped is answered by
+// replay instead of re-execution — the same at-most-once outcome as the
 // per-frame path.
 func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 	var (
@@ -224,22 +215,31 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 	for _, lf := range lfs {
 		sl := lf.Ctx.(*liveSlot)
 		f := sl.f
-		if lf.Err {
-			s.panics.Inc()
-			f.R.Fail(f, "internal error")
-			continue
-		}
-		if sl.walFailed {
-			// The batch's WAL commit failed: this frame's writes are applied
-			// in memory but not durable, so it gets no successful ack — the
-			// client's retry re-executes (idempotent) or is answered once a
-			// later commit lands its records.
-			f.R.Fail(f, "wal commit failed")
+		if lf.Err || sl.walFailed {
+			// Clear the in-flight marker so the retry is re-admitted.
+			if f.Tracked {
+				s.replies.abort(f.AKey, f.ReqID)
+				f.Tracked = false
+			}
+			if lf.Err {
+				s.panics.Inc()
+				f.R.Fail(f, "internal error")
+			} else {
+				// The batch's WAL commit failed: this frame's writes are
+				// applied in memory but not durable, so it gets no successful
+				// ack — the client's retry re-executes (idempotent) or is
+				// answered once a later commit lands its records.
+				f.R.Fail(f, "wal commit failed")
+			}
 			continue
 		}
 		s.served.Add(uint64(len(lf.Queries)))
 		if f.Units == nil { // already encoded by the LG task on durable servers
 			f.Units = f.R.Encode(f, lf.Resps)
+		}
+		if f.Tracked {
+			s.replies.finish(f.AKey, f.ReqID, f.Units)
+			f.Tracked = false
 		}
 		fs = append(fs, f)
 		if first == nil {
@@ -279,15 +279,6 @@ func (s *Server) pipelineBatchDone(lfs []*pipeline.LiveFrame) {
 		if slog != nil && !bad && len(f.Queries) > 0 {
 			slog.Observe(time.Since(f.Start), len(f.Queries), uint8(f.Queries[0].Op), f.Queries[0].Key)
 		}
-		if f.Tracked {
-			if bad {
-				// Clear the in-flight marker so the retry is re-admitted.
-				s.replies.abort(f.AKey, f.ReqID)
-			} else {
-				s.replies.finish(f.AKey, f.ReqID, f.Units)
-			}
-			f.Tracked = false
-		}
 		<-s.tokens
 		sl.reset()
 		s.pipe.slots.Put(sl)
@@ -314,10 +305,7 @@ func newLiveStore(b Backend) (pipeline.LiveStore, *store.Store) {
 type storeLive struct{ s *store.Store }
 
 func (l storeLive) Search(key []byte, dst []cuckoo.Location) []cuckoo.Location {
-	// SearchServe, not IndexSearch: the GET serving path lets keys cached by
-	// the hot-key side table skip the index probe (ReadCandidates serves
-	// them, or falls back authoritatively if the entry is invalidated).
-	return l.s.SearchServe(key, dst)
+	return l.s.IndexSearch(key, dst)
 }
 
 func (l storeLive) ReadCandidates(key []byte, cands []cuckoo.Location, dst []byte) ([]byte, bool) {
@@ -362,10 +350,6 @@ func (l storeLive) LiveMetrics() (liveObjects, evictions uint64, avgInsertBucket
 	st := l.s.StatsSnapshot()
 	return uint64(st.LiveObjects), st.Evictions, st.AvgInsertBucketsProbed
 }
-
-// HotStats satisfies pipeline.HotKeyStats so the measured hot-hit portion
-// reaches the adaptation profile.
-func (l storeLive) HotStats() (hits uint64, enabled bool) { return l.s.HotStats() }
 
 type backendLive struct {
 	b  Backend

@@ -238,14 +238,11 @@ func TestCollectMetricsNames(t *testing.T) {
 		"dido_pipeline_batches_total", "dido_pipeline_queries_total",
 		"dido_pipeline_wide_batches_total", "dido_pipeline_reconfigs_total",
 		"dido_pipeline_submit_shed_total", "dido_pipeline_panics_total",
-		"dido_pipeline_steal_batches_total", "dido_pipeline_stolen_chunks_total",
-		"dido_pipeline_stolen_queries_total",
 		"dido_pipeline_batch_target", "dido_pipeline_replans_total",
 		`dido_pipeline_stage_micros{stage="1",quantile="0.5"}`,
 		`dido_pipeline_stage_micros{stage="3",quantile="0.999"}`,
 		"dido_store_gets_total", "dido_store_sets_total", "dido_store_deletes_total",
 		"dido_store_hits_total", "dido_store_misses_total", "dido_store_evictions_total",
-		"dido_store_hot_hits_total",
 		"dido_scan_requests_total", "dido_scan_entries_total",
 		"dido_scan_bytes_total", "dido_scan_fallbacks_total",
 		"dido_store_live_objects", "dido_store_ordered_keys",

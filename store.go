@@ -21,12 +21,6 @@ type StoreConfig struct {
 	// same slab-class locks; the memory budget is divided evenly, so very
 	// small arenas should stay at 1.
 	Shards int
-	// HotKeys, when positive, enables the skew-aware hot-key fast path: a
-	// cache-resident side table of that many slots (rounded up to a power of
-	// two) serves sampled hot GETs before the cuckoo probe. Worth a few
-	// hundred to a few thousand slots under Zipf-skewed read traffic; 0
-	// (default) disables it with zero read-path overhead.
-	HotKeys int
 	// Ordered maintains an MVCC ordered index (a copy-on-write LLRB per
 	// shard) beside the cuckoo table, enabling Scan. Writes pay one tree
 	// upsert each; scans never block writers. False (default) keeps the
@@ -49,7 +43,6 @@ func NewStore(cfg StoreConfig) *Store {
 		IndexEntries: cfg.IndexEntries,
 		Seed:         cfg.Seed,
 		Shards:       cfg.Shards,
-		HotKeys:      cfg.HotKeys,
 		Ordered:      cfg.Ordered,
 	})}
 }
@@ -113,7 +106,6 @@ type StoreStats struct {
 	Gets, Sets, Deletes uint64
 	Hits, Misses        uint64
 	Evictions           uint64
-	HotHits             uint64 // GETs served by the hot-key fast path
 	// Range-scan counters (all zero unless StoreConfig.Ordered).
 	Scans           uint64 // SCAN operations executed
 	ScanEntries     uint64 // entries returned across all scans
@@ -135,7 +127,6 @@ func (s *Store) CollectMetrics(w *obs.MetricsWriter) {
 	w.Counter("dido_store_hits_total", "GETs that found the key.", st.Hits)
 	w.Counter("dido_store_misses_total", "GETs that missed.", st.Misses)
 	w.Counter("dido_store_evictions_total", "Objects evicted to fit new SETs.", st.Evictions)
-	w.Counter("dido_store_hot_hits_total", "GETs served by the hot-key fast path before the index probe.", st.HotHits)
 	w.Counter("dido_scan_requests_total", "SCAN operations executed.", st.Scans)
 	w.Counter("dido_scan_entries_total", "Entries returned across all SCANs.", st.ScanEntries)
 	w.Counter("dido_scan_bytes_total", "Key+value bytes returned across all SCANs.", st.ScanBytes)
@@ -155,7 +146,6 @@ func (s *Store) Stats() StoreStats {
 		Hits:            st.Hits,
 		Misses:          st.Misses,
 		Evictions:       st.Evictions,
-		HotHits:         st.HotHits,
 		Scans:           st.Scans,
 		ScanEntries:     st.ScanEntries,
 		ScanBytes:       st.ScanBytes,
